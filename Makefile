@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # Minimum total statement coverage (percent) enforced by cover-check.
 COVER_MIN ?= 83
 
-.PHONY: all build vet lint test test-race bench bench-json experiments \
+.PHONY: all build vet lint test test-race bench bench-json bench-check experiments \
         fuzz fuzz-smoke serve-smoke serve-chaos cluster-soak cluster-churn \
         rig-soak rig-soak-starved verify-diff cover cover-check ci clean
 
@@ -53,6 +53,13 @@ bench-json:
 	$(GO) run ./cmd/thermosc-bench -out BENCH_ao.ci.json -baseline BENCH_ao.json \
 		-min-par-speedup $(MIN_PAR_SPEEDUP) -compare-out bench_compare.md
 
+# The benchmark in perfbench/ is its own module compiled against this
+# one's exported API, so the root `go build ./...` never sees it. Vet and
+# test it with the offline settings perfbench/run.sh builds it with.
+BENCH_ENV = GOFLAGS=-mod=mod GOPROXY=off GOWORK=off GOTOOLCHAIN=local
+bench-check:
+	cd perfbench && $(BENCH_ENV) $(GO) vet ./... && $(BENCH_ENV) $(GO) test ./...
+
 # Regenerate every paper table/figure (text).
 experiments:
 	$(GO) run ./cmd/thermosc-experiments | tee docs/experiments_full_output.txt
@@ -84,7 +91,7 @@ STORE_BACKENDS ?= mem file
 
 # Chaos storm against the planning daemon, race-enabled, once per plan
 # store backend: concurrent requests under tiny deadlines with seeded
-# random solver panics, through the request-coalescing batch scheduler.
+# random solver panics, through admission control and the breaker.
 # Zero daemon crashes allowed; every 200 body must pass the verification
 # oracle. Each backend's final /v1/stats snapshot lands in
 # serve_chaos_stats_<backend>.json.
@@ -177,7 +184,7 @@ cover-check: cover
 	echo "coverage $$total% >= $(COVER_MIN)% gate"
 
 # Everything CI runs, in one target, for local pre-push verification.
-ci: build lint test test-race fuzz-smoke serve-smoke serve-chaos \
+ci: build lint test test-race bench-check fuzz-smoke serve-smoke serve-chaos \
     cluster-soak cluster-churn rig-soak rig-soak-starved verify-diff \
     cover-check bench-json
 

@@ -51,7 +51,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -286,22 +285,6 @@ func run() (*Report, error) {
 		halfBudget = time.Millisecond
 	}
 
-	// The serving-path batch workload: one op is a 16-request burst on a
-	// single platform, zipf-skewed over four thresholds (8/4/2/2) — the
-	// shape production bursts take (a few hot thresholds on a hot
-	// platform). serve_batch pushes the burst through the request
-	// coalescer (duplicate thresholds collapse onto one solve; distinct
-	// ones lease the shared engine leader-first); serve_batch_unbatched
-	// is the naive serving path the batcher replaces — every request runs
-	// its own solve on its own engine.
-	burstTmax := []float64{55, 58, 61, 64}
-	var burstKeys []int
-	for ki, reps := range []int{8, 4, 2, 2} {
-		for r := 0; r < reps; r++ {
-			burstKeys = append(burstKeys, ki)
-		}
-	}
-
 	suite := []struct {
 		name string
 		body func(b *testing.B)
@@ -375,46 +358,6 @@ func run() (*Report, error) {
 				}
 			}
 		}},
-		{"serve_batch", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bat := solver.NewBatcher(solver.BatchConfig{Window: 2 * time.Millisecond, MaxBatch: len(burstKeys)})
-				eng := sim.NewEngine(md)
-				errs := make(chan error, len(burstKeys))
-				var wg sync.WaitGroup
-				for _, ki := range burstKeys {
-					wg.Add(1)
-					go func(ki int) {
-						defer wg.Done()
-						_, _, err := bat.Do(context.Background(), "mesh-3x3", fmt.Sprintf("tmax-%g", burstTmax[ki]), func() (any, error) {
-							p := aoProblem(1)
-							p.TmaxC = burstTmax[ki]
-							p.Engine = eng
-							return solver.AO(p)
-						})
-						if err != nil {
-							errs <- err
-						}
-					}(ki)
-				}
-				wg.Wait()
-				select {
-				case err := <-errs:
-					b.Fatal(err)
-				default:
-				}
-			}
-		}},
-		{"serve_batch_unbatched", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, ki := range burstKeys {
-					p := aoProblem(1)
-					p.TmaxC = burstTmax[ki]
-					if _, err := solver.AO(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}},
 		{"ao_search_256", func(b *testing.B) {
 			p := bigProblem()
 			for i := 0; i < b.N; i++ {
@@ -473,9 +416,6 @@ func run() (*Report, error) {
 	}
 	if c, co := byName["peak_eval_classic"], byName["peak_eval_composed"]; co.NsPerOp > 0 {
 		rep.Speedups["peak_eval_composed"] = c.NsPerOp / co.NsPerOp
-	}
-	if u, bt := byName["serve_batch_unbatched"], byName["serve_batch"]; bt.NsPerOp > 0 {
-		rep.Speedups["serve_batch"] = u.NsPerOp / bt.NsPerOp
 	}
 	return rep, nil
 }

@@ -50,7 +50,6 @@ func main() {
 		timeoutMin  = flag.Float64("timeout-min", 1, "per-request deadline lower bound (s)")
 		timeoutMax  = flag.Float64("timeout-max", 10, "per-request deadline upper bound (s)")
 		concurrency = flag.Int("concurrency", 256, "max in-flight requests")
-		relBurst    = flag.Int("related-burst", 0, "group requests into same-platform bursts of this size (<=1 disables; exercises server-side batching)")
 		out         = flag.String("out", "", "write the JSON report to this file")
 		maxErrors   = flag.Int("max-errors", -1, "fail the run when more than this many requests error (-1 disables; deadline 504s count as errors)")
 		syncEvery   = flag.Duration("sync-interval", 250*time.Millisecond, "gossip period of the in-process cluster")
@@ -92,21 +91,20 @@ func main() {
 	}
 
 	cfg := cluster.LoadConfig{
-		Targets:      urls,
-		Requests:     *n,
-		RateHz:       *rate,
-		Curve:        *curve,
-		ZipfS:        *zipfS,
-		ZipfV:        *zipfV,
-		Seed:         *seed,
-		MaxCores:     *maxCores,
-		TmaxC:        parseFloats(*tmax),
-		Methods:      parseList(*methods),
-		PaperLevels:  *paperLevels,
-		TimeoutMinS:  *timeoutMin,
-		TimeoutMaxS:  *timeoutMax,
-		Concurrency:  *concurrency,
-		RelatedBurst: *relBurst,
+		Targets:     urls,
+		Requests:    *n,
+		RateHz:      *rate,
+		Curve:       *curve,
+		ZipfS:       *zipfS,
+		ZipfV:       *zipfV,
+		Seed:        *seed,
+		MaxCores:    *maxCores,
+		TmaxC:       parseFloats(*tmax),
+		Methods:     parseList(*methods),
+		PaperLevels: *paperLevels,
+		TimeoutMinS: *timeoutMin,
+		TimeoutMaxS: *timeoutMax,
+		Concurrency: *concurrency,
 	}
 	log.Printf("thermosc-load: %d requests at %.0f/s (%s curve, seed %d) across %d targets",
 		cfg.Requests, cfg.RateHz, cfg.Curve, cfg.Seed, len(urls))

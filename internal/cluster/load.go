@@ -69,14 +69,6 @@ type LoadConfig struct {
 	// sent as the request's timeout_s AND enforced client-side.
 	TimeoutMinS float64 `json:"timeout_min_s"`
 	TimeoutMaxS float64 `json:"timeout_max_s"`
-	// RelatedBurst, when > 1, groups the workload into same-platform
-	// bursts: that many consecutive requests share one zipf-picked
-	// platform, one target, and one arrival instant, while the threshold
-	// and method vary across the platform's variants. This is the shape
-	// the server's batch scheduler coalesces (same platform key,
-	// different plan keys), so the batch win is measurable under load.
-	// 0 (the default) keeps the classic per-request zipf pick.
-	RelatedBurst int `json:"related_burst"`
 	// Concurrency bounds in-flight requests (default 256). An open-loop
 	// generator never waits for a response to send the next request, but
 	// it must not exhaust file descriptors; when the bound is hit the
@@ -260,9 +252,6 @@ func (c LoadConfig) Workload() ([]LoadRequest, error) {
 	// A separate RNG stream for the picks: the schedule must not shift
 	// when the pick logic changes, and vice versa.
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	if cfg.RelatedBurst > 1 {
-		return relatedWorkload(cfg, items, schedule, rng)
-	}
 	var zipf *rand.Zipf
 	if len(items) > 1 {
 		zipf = rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(len(items)-1))
@@ -295,55 +284,6 @@ func (c LoadConfig) Workload() ([]LoadRequest, error) {
 	return reqs, nil
 }
 
-// relatedWorkload emits the RelatedBurst shape: bursts of same-platform
-// requests landing at one instant. buildCatalog is platform-major
-// (catalog order × tmax × method), so each platform owns a contiguous
-// block of variants; the burst draws its members uniformly from one
-// zipf-picked platform's block.
-func relatedWorkload(cfg LoadConfig, items []catalogItem, schedule []time.Duration, rng *rand.Rand) ([]LoadRequest, error) {
-	variants := len(cfg.TmaxC) * len(cfg.Methods)
-	numPlats := len(items) / variants
-	var zipf *rand.Zipf
-	if numPlats > 1 {
-		zipf = rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(numPlats-1))
-	}
-	reqs := make([]LoadRequest, cfg.Requests)
-	for i := 0; i < cfg.Requests; {
-		plat := 0
-		if zipf != nil {
-			plat = int(zipf.Uint64())
-		}
-		target := cfg.Targets[rng.Intn(len(cfg.Targets))]
-		at := schedule[i]
-		n := cfg.RelatedBurst
-		if i+n > cfg.Requests {
-			n = cfg.Requests - i // final partial burst
-		}
-		for j := 0; j < n; j++ {
-			item := items[plat*variants+rng.Intn(variants)]
-			timeout := cfg.TimeoutMinS + rng.Float64()*(cfg.TimeoutMaxS-cfg.TimeoutMinS)
-			body, err := json.Marshal(wireMaximize{
-				Platform: item.platform,
-				TmaxC:    item.tmaxC,
-				Method:   item.method,
-				TimeoutS: timeout,
-			})
-			if err != nil {
-				return nil, err
-			}
-			reqs[i+j] = LoadRequest{
-				At:       at,
-				Target:   target,
-				Body:     body,
-				Platform: item.name,
-				Rank:     plat,
-			}
-		}
-		i += n
-	}
-	return reqs, nil
-}
-
 // LoadReport is the run's result artifact (JSON-stable: the soak CI
 // job uploads it).
 type LoadReport struct {
@@ -367,7 +307,10 @@ type LoadReport struct {
 	Degraded  int     `json:"degraded"`
 	Stale     int     `json:"stale"`
 
-	// Latency over ALL completed requests (seconds).
+	// Latency over ALL completed requests (seconds), timed from each
+	// request's due time (run start + LoadRequest.At), not from the
+	// actual send: a request held back by a slow dispatcher or a full
+	// Concurrency bound is charged for the wait, as its caller would be.
 	LatencyP50S float64 `json:"latency_p50_s"`
 	LatencyP95S float64 `json:"latency_p95_s"`
 	LatencyP99S float64 `json:"latency_p99_s"`
@@ -382,8 +325,8 @@ type LoadReport struct {
 	DistinctKeys int `json:"distinct_keys"`
 
 	// MaxScheduleLagS is the worst planned-vs-actual send-time gap — an
-	// open-loop health signal (a saturated Concurrency bound or a slow
-	// dispatcher shows up here, not in latency).
+	// open-loop health signal that separates generator-side delay (a
+	// saturated Concurrency bound or a slow dispatcher) from server time.
 	MaxScheduleLagS float64 `json:"max_schedule_lag_s"`
 	ElapsedS        float64 `json:"elapsed_s"`
 
@@ -422,9 +365,8 @@ type loadResponse struct {
 }
 
 type loadOutcome struct {
-	status   int // 0 = transport error
-	latency  time.Duration
-	target   string
+	status   int           // 0 = transport error or never sent
+	latency  time.Duration // due time to response; 0 = never sent
 	lag      time.Duration
 	resp     loadResponse
 	complete bool // 200 with a decodable body
@@ -432,7 +374,7 @@ type loadOutcome struct {
 
 // RunLoad executes the configured workload and aggregates the report.
 // The context cancels the run early (requests already in flight finish;
-// unsent requests are counted as errors).
+// unsent requests are counted as errors against their planned target).
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	cfg = cfg.withDefaults()
 	reqs, err := cfg.Workload()
@@ -476,7 +418,7 @@ dispatch:
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			outcomes[i] = fire(ctx, client, reqs[i], start)
+			outcomes[i] = fire(ctx, client, reqs[i], start.Add(reqs[i].At))
 		}(i)
 	}
 	wg.Wait()
@@ -485,8 +427,11 @@ dispatch:
 	return report, nil
 }
 
-func fire(ctx context.Context, client *http.Client, lr LoadRequest, start time.Time) loadOutcome {
-	out := loadOutcome{target: lr.Target, lag: time.Since(start) - lr.At}
+// fire sends one request and times it from due, its planned send
+// instant, so dispatch delay counts toward latency (no coordinated
+// omission); the dispatch delay alone is kept as the schedule lag.
+func fire(ctx context.Context, client *http.Client, lr LoadRequest, due time.Time) loadOutcome {
+	out := loadOutcome{lag: time.Since(due)}
 	var timeoutS float64
 	var probe struct {
 		TimeoutS float64 `json:"timeout_s"`
@@ -506,9 +451,8 @@ func fire(ctx context.Context, client *http.Client, lr LoadRequest, start time.T
 		return out
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	sent := time.Now()
 	hresp, err := client.Do(hreq)
-	out.latency = time.Since(sent)
+	out.latency = time.Since(due)
 	if err != nil {
 		return out
 	}
@@ -523,7 +467,7 @@ func fire(ctx context.Context, client *http.Client, lr LoadRequest, start time.T
 			out.status = 0 // undecodable 200 is a transport-class error
 		}
 	}
-	out.latency = time.Since(sent)
+	out.latency = time.Since(due)
 	return out
 }
 
@@ -541,7 +485,7 @@ func aggregate(reqs []LoadRequest, outcomes []loadOutcome, phases []LoadPhase) *
 	for i := range outcomes {
 		o := &outcomes[i]
 		ph := split.phaseFor(reqs[i].At)
-		r.ByTarget[o.target]++
+		r.ByTarget[reqs[i].Target]++
 		if o.latency > 0 {
 			lat = append(lat, o.latency.Seconds())
 			if ph != nil {

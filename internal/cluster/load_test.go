@@ -268,6 +268,40 @@ func TestRunLoadCancellation(t *testing.T) {
 	if rep.Served >= 1000 {
 		t.Fatal("cancelled run completed every request")
 	}
+	// Unsent requests still belong to the replica they were planned for.
+	if rep.ByTarget[stub.URL] != 1000 || len(rep.ByTarget) != 1 {
+		t.Fatalf("by_target after cancel: %v, want all 1000 under %s", rep.ByTarget, stub.URL)
+	}
+}
+
+// Latency is timed from each request's due time, not from its actual
+// send: with one in-flight slot and a 100 ms server, four requests due
+// at t≈0 are answered at ≈0.1, 0.2, 0.3 and 0.4 s after they were due,
+// and the report must say so rather than 0.1 s for each.
+func TestRunLoadLatencyFromDueTime(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(100 * time.Millisecond)
+		fmt.Fprint(w, `{"plan":{"p":1},"cached":false,"shared":false,"key":"k","elapsed_s":0}`)
+	}))
+	defer stub.Close()
+	rep, err := RunLoad(context.Background(), LoadConfig{
+		Targets: []string{stub.URL}, Requests: 4, RateHz: 1e6, Concurrency: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Served != 4 {
+		t.Fatalf("served %d of 4: %+v", rep.Served, rep)
+	}
+	if rep.LatencyMaxS < 0.39 {
+		t.Fatalf("max latency %.3f s, want >= 0.39 s: the last request waited for three 100 ms responses before it was sent", rep.LatencyMaxS)
+	}
+	if rep.LatencyP50S < 0.19 {
+		t.Fatalf("p50 latency %.3f s, want >= 0.19 s", rep.LatencyP50S)
+	}
+	if rep.MaxScheduleLagS < 0.29 || rep.MaxScheduleLagS >= rep.LatencyMaxS {
+		t.Fatalf("schedule lag %.3f s, want in [0.29, max latency %.3f)", rep.MaxScheduleLagS, rep.LatencyMaxS)
+	}
 }
 
 // Nearest-rank percentile, pinned property-style over n = 1..20: the
@@ -312,50 +346,5 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 	if got := percentile([]float64{1, 2}, 2); got != 2 {
 		t.Fatalf("p>1 must clamp to the last value: %v", got)
-	}
-}
-
-// RelatedBurst groups the workload into same-platform bursts sharing
-// one arrival instant and one target, deterministically.
-func TestWorkloadRelatedBurst(t *testing.T) {
-	cfg := LoadConfig{
-		Targets:      []string{"http://a", "http://b"},
-		Requests:     240,
-		RateHz:       1e6,
-		Seed:         9,
-		RelatedBurst: 8,
-	}
-	w1, err := cfg.Workload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := cfg.Workload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w1) != 240 {
-		t.Fatalf("workload length %d", len(w1))
-	}
-	distinctBodies := 0
-	for b := 0; b < len(w1); b += 8 {
-		burst := w1[b : b+8]
-		seen := map[string]bool{}
-		for j, r := range burst {
-			if r.At != burst[0].At || r.Target != burst[0].Target || r.Platform != burst[0].Platform || r.Rank != burst[0].Rank {
-				t.Fatalf("burst %d member %d breaks burst invariants: %+v vs %+v", b/8, j, r, burst[0])
-			}
-			if w2[b+j].At != r.At || string(w2[b+j].Body) != string(r.Body) {
-				t.Fatalf("related workload not deterministic at %d", b+j)
-			}
-			seen[string(r.Body)] = true
-		}
-		if len(seen) > 1 {
-			distinctBodies++
-		}
-	}
-	// The variants must actually vary within bursts (default catalog has
-	// 6 tmax×method variants per platform, bursts of 8 draw uniformly).
-	if distinctBodies == 0 {
-		t.Fatal("no burst drew more than one variant — batching has nothing to coalesce")
 	}
 }

@@ -55,10 +55,6 @@ func TestServeChaos(t *testing.T) {
 		SolveConcurrency: 2,
 		SolveQueue:       4,
 		BreakerCooloff:   100 * time.Millisecond,
-		// Batching stays on under fire: injected panics, sheds, and tiny
-		// deadlines must compose with group dispatch without unverifying a
-		// single served plan.
-		BatchWindow: 2 * time.Millisecond,
 	}
 	// THERMOSC_CHAOS_STORE=file runs the storm over a single-node cluster
 	// whose plan store is the append-only file backend, so every complete

@@ -63,17 +63,6 @@ func (c *lruCache[V]) Len() int {
 	return c.ll.Len()
 }
 
-// Each calls fn for every cached value without disturbing recency
-// order. fn must not call back into the cache (the lock is held) and
-// must treat the value as immutable.
-func (c *lruCache[V]) Each(fn func(V)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		fn(el.Value.(*lruEntry[V]).val)
-	}
-}
-
 // GetOrCreate returns the cached value for key, building and inserting
 // it on a miss. Concurrent creators for the same key may both build;
 // the first Put wins and is what subsequent Gets observe — acceptable

@@ -13,8 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"thermosc/internal/solver"
 )
 
 // Server is the concurrent planning service: an http.Handler exposing
@@ -41,9 +39,6 @@ type Server struct {
 	flights   *flightGroup
 	admit     *admission
 	brk       *breaker
-	// batch, when non-nil, coalesces concurrent full solves by platform
-	// key on a shared engine (servebatch.go). Nil = batching disabled.
-	batch *solver.Batcher
 	// cluster is the fleet layer (servecluster.go): consistent-hash
 	// routing, the replicated plan store, forwarding, and gossip. Nil in
 	// single-process mode.
@@ -114,18 +109,6 @@ type ServerConfig struct {
 	// complete plans never go stale — they are bit-reproducible, so age
 	// cannot make them wrong. Degraded plans are ALWAYS stale.
 	PlanTTL time.Duration
-
-	// BatchWindow, when > 0, enables request-coalescing batching of cold
-	// solves: concurrent /v1/maximize requests for the SAME platform
-	// (same RC model, any tmax/method) are grouped inside a BatchWindow
-	// wait, lease one shared sim.Engine, and dispatch leader-first so
-	// the Propagator caches are built once per group (servebatch.go).
-	// 0 (the default) disables batching — the serve path is then
-	// byte-identical to previous releases.
-	BatchWindow time.Duration
-	// BatchMaxSize seals a batch group early once it holds this many
-	// members (default 16 when batching is enabled).
-	BatchMaxSize int
 
 	// Circuit breaker over the async audit verdicts: when at least
 	// BreakerMinSamples of the last BreakerWindow verdicts exist and the
@@ -207,7 +190,6 @@ func NewServer(cfg ServerConfig) *Server {
 	s.platforms = newLRUCache[*Platform](s.cfg.PlatformCacheSize)
 	s.admit = newAdmission(s.cfg.SolveConcurrency, s.cfg.SolveQueue)
 	s.brk = newBreaker(s.cfg.BreakerWindow, s.cfg.BreakerThreshold, s.cfg.BreakerMinSamples, s.cfg.BreakerCooloff)
-	s.batch = newBatcher(s.cfg)
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.Cluster != nil {
 		c, err := newServeCluster(*cfg.Cluster)
@@ -258,7 +240,6 @@ func (s *Server) Stats() ServerStats {
 	if s.cluster != nil {
 		st.Cluster = s.cluster.statsSnapshot()
 	}
-	st.Batch = s.batchStatsSnapshot()
 	return st
 }
 
@@ -534,7 +515,7 @@ func (s *Server) solvePlan(ctx context.Context, planKey, platKey string, req Max
 	}
 	var plan *Plan
 	if s.brk.allowFull() {
-		plan, err = s.solveFull(ctx, planKey, platKey, plat, req)
+		plan, err = plat.MaximizeResilient(ctx, req.Method, req.TmaxC, s.cfg.Workers)
 	} else {
 		// Breaker open: the audit failure rate says full solves cannot be
 		// trusted right now, so only the oracle-checked constant floor is

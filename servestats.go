@@ -124,9 +124,6 @@ type ServerStats struct {
 	// Cluster reports the fleet layer's counters (nil single-process, so
 	// single-process stats stay schema-stable).
 	Cluster *ClusterStats `json:"cluster,omitempty"`
-	// Batch reports the request-coalescing batch scheduler's counters
-	// (nil when batching is disabled; see ServerConfig.BatchWindow).
-	Batch *BatchStats `json:"batch,omitempty"`
 }
 
 // ClusterStats is the per-node fleet block of /v1/stats. The request

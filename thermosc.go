@@ -36,7 +36,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"thermosc/internal/floorplan"
@@ -78,27 +77,15 @@ type Platform struct {
 	// single propagator / period-operator pool (bit-identical results,
 	// see sim.Engine). The Once makes Platform non-copyable by vet,
 	// which is the intent — pass *Platform around.
-	engOnce  sync.Once
-	engReady atomic.Bool
-	eng      *sim.Engine
+	engOnce sync.Once
+	eng     *sim.Engine
 }
 
 // engine returns the platform's shared evaluation engine.
 func (p *Platform) engine() *sim.Engine {
 	p.engOnce.Do(func() {
 		p.eng = sim.NewEngine(p.model)
-		p.engReady.Store(true)
 	})
-	return p.eng
-}
-
-// builtEngine returns the engine only if some solve has already forced
-// it — observability paths (stats snapshots) must not pay the engine
-// build for platforms that never solved.
-func (p *Platform) builtEngine() *sim.Engine {
-	if !p.engReady.Load() {
-		return nil
-	}
 	return p.eng
 }
 
