@@ -72,7 +72,7 @@ fuzz:
 	$(GO) test ./internal/rig -fuzz FuzzRigScenario -fuzztime $(FUZZTIME)
 	$(GO) test . -fuzz FuzzPlanUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test . -fuzz FuzzServeRequest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cluster -fuzz FuzzPlanStoreSync -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -fuzz FuzzStoreSync -fuzztime $(FUZZTIME)
 
 # Quick CI smoke pass over the same fuzz targets.
 fuzz-smoke:
@@ -85,59 +85,43 @@ fuzz-smoke:
 serve-smoke:
 	THERMOSC_SERVE_E2E=1 $(GO) test -run TestServeE2EGolden -count=1 -v .
 
-# PlanStore backends the chaos and soak suites run once each against
-# (mem = replicated in-memory store, file = crash-safe append-only log).
-STORE_BACKENDS ?= mem file
-
-# Chaos storm against the planning daemon, race-enabled, once per plan
-# store backend: concurrent requests under tiny deadlines with seeded
-# random solver panics, through admission control and the breaker.
+# Chaos storm against the planning daemon, race-enabled: concurrent
+# requests under tiny deadlines with seeded random solver panics,
+# through admission control and the breaker, once single-process and
+# once as a single-node cluster (the replicated store's put path).
 # Zero daemon crashes allowed; every 200 body must pass the verification
-# oracle. Each backend's final /v1/stats snapshot lands in
-# serve_chaos_stats_<backend>.json.
+# oracle. Each run's final /v1/stats snapshot lands in
+# serve_chaos_stats.json.
 CHAOS_REQUESTS ?= 400
 serve-chaos:
-	@for b in $(STORE_BACKENDS); do \
-		echo "== serve-chaos [store=$$b] =="; \
-		THERMOSC_CHAOS_STORE=$$b \
-		THERMOSC_CHAOS_REQUESTS=$(CHAOS_REQUESTS) \
-		THERMOSC_CHAOS_STATS=$(CURDIR)/serve_chaos_stats_$$b.json \
-		$(GO) test -race -run TestServeChaos -count=1 -v . || exit 1; \
-	done
+	THERMOSC_CHAOS_REQUESTS=$(CHAOS_REQUESTS) \
+	THERMOSC_CHAOS_STATS=$(CURDIR)/serve_chaos_stats.json \
+	$(GO) test -race -run TestServeChaos -count=1 -v .
 
-# Fleet soak, race-enabled, once per plan store backend: a seed-pinned
-# zipf workload through a 3-replica in-process cluster. Exact request
-# accounting, zero transport errors, byte-identical plans per canonical
-# key across every replica, and post-load anti-entropy convergence; each
-# backend's load report lands in cluster_soak_report_<backend>.json. CI
-# raises CLUSTER_REQUESTS to 100000.
+# Fleet soak, race-enabled: a seed-pinned zipf workload through a
+# 3-replica in-process cluster. Exact request accounting, zero transport
+# errors, byte-identical plans per canonical key across every replica,
+# and post-load anti-entropy convergence; the load report lands in
+# cluster_soak_report.json. CI raises CLUSTER_REQUESTS to 100000.
 CLUSTER_REQUESTS ?= 2500
 cluster-soak:
-	@for b in $(STORE_BACKENDS); do \
-		echo "== cluster-soak [store=$$b] =="; \
-		THERMOSC_CLUSTER_STORE=$$b \
-		THERMOSC_CLUSTER_REQUESTS=$(CLUSTER_REQUESTS) \
-		THERMOSC_CLUSTER_REPORT=$(CURDIR)/cluster_soak_report_$$b.json \
-		$(GO) test -race -run TestClusterSoak -count=1 -v . || exit 1; \
-	done
+	THERMOSC_CLUSTER_REQUESTS=$(CLUSTER_REQUESTS) \
+	THERMOSC_CLUSTER_REPORT=$(CURDIR)/cluster_soak_report.json \
+	$(GO) test -race -run TestClusterSoak -count=1 -v .
 
-# Churn chaos battery, race-enabled, once per plan store backend: the
-# self-healing suite (failure detection, health-aware re-routing, hinted
-# handoff, drain) plus a seed-pinned kill/restart schedule and a rolling
-# restart of every node under live load. Exact accounting, no 5xx to
-# clients, bounded errors confined to kill windows, and post-heal
-# byte-identical convergence; each backend's phase-split load report and
-# per-peer health timeline land in cluster_churn_{report,timeline}_<b>.json.
+# Churn chaos battery, race-enabled: the self-healing suite (failure
+# detection, health-aware re-routing, gossip re-warming, drain) plus a
+# seed-pinned kill/restart schedule and a rolling restart of every node
+# under live load. Exact accounting, no 5xx to clients, bounded errors
+# confined to kill windows, and post-heal byte-identical convergence;
+# the phase-split load report and per-peer health timeline land in
+# cluster_churn_{report,timeline}.json.
 CHURN_REQUESTS ?= 2000
 cluster-churn:
-	@for b in $(STORE_BACKENDS); do \
-		echo "== cluster-churn [store=$$b] =="; \
-		THERMOSC_CLUSTER_STORE=$$b \
-		THERMOSC_CHURN_REQUESTS=$(CHURN_REQUESTS) \
-		THERMOSC_CHURN_REPORT=$(CURDIR)/cluster_churn_report_$$b.json \
-		THERMOSC_CHURN_TIMELINE=$(CURDIR)/cluster_churn_timeline_$$b.json \
-		$(GO) test -race -run 'TestClusterChurnSoak|TestClusterRollingRestartUnderLoad|TestClusterDetectorReroutesAroundDeadPeer|TestClusterHintedHandoffReplay|TestClusterHintOverflowBounded|TestClusterDrainAndRejoin|TestClusterAsymmetricPartition|TestClusterFlappingPeer|TestClusterFleetStatusBoundedByHungPeers' -count=1 -v . || exit 1; \
-	done
+	THERMOSC_CHURN_REQUESTS=$(CHURN_REQUESTS) \
+	THERMOSC_CHURN_REPORT=$(CURDIR)/cluster_churn_report.json \
+	THERMOSC_CHURN_TIMELINE=$(CURDIR)/cluster_churn_timeline.json \
+	$(GO) test -race -run 'TestClusterChurnSoak|TestClusterRollingRestartUnderLoad|TestClusterDetectorReroutesAroundDeadPeer|TestClusterDrainAndRejoin|TestClusterAsymmetricPartition|TestClusterFlappingPeer|TestClusterFleetStatusBoundedByHungPeers' -count=1 -v .
 
 # Closed-loop soak: 20 seed-pinned fault scenarios under the guarded AO
 # plan, each replayed twice. Exits nonzero on ANY thermal violation
@@ -191,5 +175,5 @@ ci: build lint test test-race bench-check fuzz-smoke serve-smoke serve-chaos \
 clean:
 	rm -f cover.out test_output.txt bench_output.txt BENCH_ao.ci.json \
 	      bench_compare.md rig_soak.json rig_soak_starved.json \
-	      serve_chaos_stats_*.json cluster_soak_report_*.json \
-	      cluster_churn_report_*.json cluster_churn_timeline_*.json
+	      serve_chaos_stats.json cluster_soak_report.json \
+	      cluster_churn_report.json cluster_churn_timeline.json

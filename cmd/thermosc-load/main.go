@@ -242,8 +242,8 @@ func (f *fleet) kill(i int) {
 }
 
 // restart brings replica i back on its original address with its
-// original config (an empty store — recovery runs through hinted
-// handoff and anti-entropy, which is the point of churn mode). The
+// original config (an empty store — recovery runs through anti-entropy,
+// which is the point of churn mode). The
 // survivors' pooled connections to the old incarnation are dropped so
 // the restarted replica is rediscovered cleanly.
 func (f *fleet) restart(i int) error {

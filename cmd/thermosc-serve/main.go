@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"thermosc"
+	"thermosc/internal/cluster"
 )
 
 func main() {
@@ -56,19 +57,23 @@ func main() {
 		ringVnodes   = flag.Int("ring-vnodes", 0, "virtual nodes per replica on the hash ring (0 = default 64)")
 		syncInterval = flag.Duration("sync-interval", 2*time.Second, "anti-entropy gossip period (0 disables the background loop)")
 		storeCap     = flag.Int("store-cap", 0, "replicated plan store capacity (0 = default 4096)")
-		storeBackend = flag.String("store-backend", "", "plan store backend: mem or file (default mem)")
-		storePath    = flag.String("store-path", "", "append-only log path for -store-backend file")
 		warmRestore  = flag.String("warm-restore", "", "snapshot file to load into the plan store at startup")
 		warmExport   = flag.String("warm-export", "", "snapshot file to write from the plan store on shutdown")
 
-		// Self-healing flags (failure detector + hinted handoff).
+		// Failure-detector flags.
 		probeInterval = flag.Duration("probe-interval", time.Second, "peer /healthz probe period for the failure detector (0 disables dedicated probes; gossip still feeds the detector)")
 		suspectAfter  = flag.Int("suspect-after", 0, "consecutive failed contacts that mark a peer suspect (0 = default 2)")
 		deadAfter     = flag.Int("dead-after", 0, "consecutive failed contacts that mark a peer dead (0 = default 4)")
 		recoverAfter  = flag.Int("recover-after", 0, "consecutive successes a dead peer needs to rejoin (0 = default 2)")
-		hintCap       = flag.Int("hint-cap", 0, "per-peer hinted-handoff queue bound in keys (0 = default 1024)")
 	)
 	flag.Parse()
+	// A bigger store would gossip a digest no peer accepts and export a
+	// snapshot -warm-restore refuses.
+	if *storeCap > cluster.MaxSyncEntries {
+		fmt.Fprintf(os.Stderr, "invalid value %d for flag -store-cap: above the %d entries one gossip message carries\n", *storeCap, cluster.MaxSyncEntries)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// The listener binds before the server is built so -self can default
 	// to the actually-bound address (-addr 127.0.0.1:0 picks a port).
@@ -89,18 +94,13 @@ func main() {
 			VirtualNodes:  *ringVnodes,
 			SyncInterval:  *syncInterval,
 			StoreCap:      *storeCap,
-			StoreBackend:  *storeBackend,
-			StorePath:     *storePath,
 			ProbeInterval: *probeInterval,
 			SuspectAfter:  *suspectAfter,
 			DeadAfter:     *deadAfter,
 			RecoverAfter:  *recoverAfter,
-			HintCap:       *hintCap,
 		}
 	} else if *warmRestore != "" || *warmExport != "" {
 		log.Fatalf("thermosc-serve: -warm-restore/-warm-export need clustering (-peers or -self)")
-	} else if *storeBackend != "" || *storePath != "" {
-		log.Fatalf("thermosc-serve: -store-backend/-store-path need clustering (-peers or -self)")
 	}
 
 	srv := thermosc.NewServer(thermosc.ServerConfig{

@@ -39,12 +39,19 @@ const (
 	// MaxPlanBytes bounds one serialized plan (mirrors the server's 1 MiB
 	// request-body cap).
 	MaxPlanBytes = 1 << 20
-	// MaxSyncEntries bounds the entries in one snapshot or sync message.
+	// MaxSyncEntries bounds the entries in one snapshot or sync message,
+	// and so the capacity of a store gossip can carry: a full store's
+	// digest lists every key.
 	MaxSyncEntries = 1 << 17
+	// MaxSyncBytes bounds one gossip message or snapshot upload on the
+	// wire. Servers read sync bodies, sync replies and snapshot uploads
+	// under it, and HandleSync and MissingEntries stop adding entries
+	// before a message would outgrow it.
+	MaxSyncBytes = 64 << 20
 )
 
-// Validate checks the structural invariants every store implementation
-// and every network decode path enforces.
+// Validate checks the structural invariants the store and every network
+// decode path enforce.
 func (e Entry) Validate() error {
 	if e.Key == "" {
 		return errors.New("cluster: entry has an empty key")
@@ -76,34 +83,16 @@ func PlanHash(plan []byte) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// PlanStore is the pluggable replicated plan store. Implementations
-// must be safe for concurrent use and must treat plans as immutable:
-// Put keeps the incumbent when the key already exists (first-write-wins
-// — complete plans for the same key are byte-identical by construction,
-// so overwriting buys nothing and losing that property should be loud
-// in tests, not silently papered over).
-type PlanStore interface {
-	// Get returns the entry for key, if present.
-	Get(key string) (Entry, bool)
-	// Put inserts an entry and reports whether it was newly added.
-	// Invalid entries and duplicate keys return false.
-	Put(e Entry) bool
-	// Len returns the number of stored entries.
-	Len() int
-	// Entries returns every entry sorted by key (the snapshot and sync
-	// source of truth).
-	Entries() []Entry
-	// Digest returns the key → PlanHash map anti-entropy rounds compare.
-	Digest() map[string]string
-	// Cap returns the store's entry capacity (FIFO eviction bound).
-	Cap() int
-}
-
-// MemStore is the in-memory PlanStore: a mutex-guarded map with
-// insertion-order (FIFO) eviction at cap. FIFO rather than LRU because
-// the store is the replication substrate, not the hot cache — the
-// server's LRU in front of it handles recency; the store just has to
-// hold the fleet's working set deterministically.
+// MemStore is the replicated plan store: a mutex-guarded map with
+// insertion-order (FIFO) eviction at cap, safe for concurrent use.
+// Plans are immutable once stored: Put keeps the incumbent when the key
+// already exists (first-write-wins — complete plans for the same key
+// are byte-identical by construction, so overwriting buys nothing and
+// losing that property should be loud in tests, not silently papered
+// over). FIFO rather than LRU because the store is the replication
+// substrate, not the hot cache — the server's LRU in front of it
+// handles recency; the store just has to hold the fleet's working set
+// deterministically.
 type MemStore struct {
 	mu    sync.Mutex
 	cap   int
@@ -129,6 +118,7 @@ func NewMemStore(capacity int) *MemStore {
 // Cap returns the store's entry capacity.
 func (s *MemStore) Cap() int { return s.cap }
 
+// Get returns the entry for key, if present.
 func (s *MemStore) Get(key string) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -138,6 +128,8 @@ func (s *MemStore) Get(key string) (Entry, bool) {
 	return Entry{}, false
 }
 
+// Put inserts an entry and reports whether it was newly added. Invalid
+// entries and duplicate keys return false.
 func (s *MemStore) Put(e Entry) bool {
 	if e.Validate() != nil {
 		return false
@@ -145,7 +137,7 @@ func (s *MemStore) Put(e Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.items[e.Key]; ok {
-		return false // first write wins; see PlanStore
+		return false // first write wins; see MemStore
 	}
 	// Detach the plan bytes from the caller's buffer — entries are
 	// immutable once stored.
@@ -159,12 +151,15 @@ func (s *MemStore) Put(e Entry) bool {
 	return true
 }
 
+// Len returns the number of stored entries.
 func (s *MemStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.order.Len()
 }
 
+// Entries returns every entry sorted by key (the snapshot and sync
+// source of truth).
 func (s *MemStore) Entries() []Entry {
 	s.mu.Lock()
 	out := make([]Entry, 0, s.order.Len())
@@ -176,6 +171,7 @@ func (s *MemStore) Entries() []Entry {
 	return out
 }
 
+// Digest returns the key → PlanHash map anti-entropy rounds compare.
 func (s *MemStore) Digest() map[string]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -202,14 +198,14 @@ type snapshot struct {
 // EncodeSnapshot serializes the store's entries into the warm-export
 // format. The output is canonical: entries sorted by key, so two
 // converged replicas export byte-identical snapshots.
-func EncodeSnapshot(st PlanStore) ([]byte, error) {
+func EncodeSnapshot(st *MemStore) ([]byte, error) {
 	return json.Marshal(snapshot{Version: SnapshotVersion, Entries: st.Entries()})
 }
 
 // DecodeSnapshot strictly parses a warm-export payload: unknown fields,
 // trailing data, bad versions, invalid entries, oversized entry lists,
 // and duplicate keys are all errors. It never panics on arbitrary input
-// (FuzzPlanStoreSync proves it).
+// (FuzzStoreSync proves it).
 func DecodeSnapshot(b []byte) ([]Entry, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -242,7 +238,7 @@ func DecodeSnapshot(b []byte) ([]Entry, error) {
 // Restore decodes a warm-export payload into the store and returns how
 // many entries were newly added (already-present keys keep their
 // incumbent bytes).
-func Restore(st PlanStore, b []byte) (int, error) {
+func Restore(st *MemStore, b []byte) (int, error) {
 	entries, err := DecodeSnapshot(b)
 	if err != nil {
 		return 0, err

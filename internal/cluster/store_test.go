@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -51,8 +52,8 @@ func TestMemStorePutGetValidation(t *testing.T) {
 			t.Fatalf("bad entry %d accepted", i)
 		}
 	}
-	if st.Len() != 1 {
-		t.Fatalf("store len %d, want 1", st.Len())
+	if st.Len() != 1 || st.Cap() != 8 {
+		t.Fatalf("len %d cap %d, want 1/8", st.Len(), st.Cap())
 	}
 }
 
@@ -95,6 +96,9 @@ func TestMemStoreImmutableAndSorted(t *testing.T) {
 	d := st.Digest()
 	if len(d) != 2 || d["b"] != PlanHash([]byte(`{"v":1}`)) {
 		t.Fatalf("digest mismatch: %v", d)
+	}
+	if st.Cap() != DefaultStoreCap {
+		t.Fatalf("cap %d, want default %d", st.Cap(), DefaultStoreCap)
 	}
 }
 
@@ -205,5 +209,51 @@ func TestHandleSyncConvergence(t *testing.T) {
 	resp = HandleSync(b, SyncRequest{From: "a", Digest: a.Digest()})
 	if len(resp.Entries) != 0 || len(resp.Want) != 0 || resp.Applied != 0 {
 		t.Fatalf("converged round not a no-op: %+v", resp)
+	}
+}
+
+// Every gossip message stays under the wire cap it is read under, even
+// when the stores hold several caps' worth of plans: a cold requester's
+// pull and its push both stop at the budget, and repeated rounds carry
+// the rest until the pair converges.
+func TestSyncMessagesBoundedByWireCap(t *testing.T) {
+	const budget = 64 << 10
+	plan := bytes.Repeat([]byte("p"), 2<<10) // ~2.7 KiB per encoded entry
+	a, b := NewMemStore(0), NewMemStore(0)
+	for i := 0; i < 200; i++ { // ~540 KiB per store, > 8 budgets
+		a.Put(Entry{Key: fmt.Sprintf(`{"a":%d}`, i), Plan: plan})
+		b.Put(Entry{Key: fmt.Sprintf(`{"b":%d}`, i), Plan: plan})
+	}
+	wire := func(v any) int {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(raw)
+	}
+	rounds := 0
+	for ; !Converged(a.Digest(), b.Digest()); rounds++ {
+		if rounds == 40 {
+			t.Fatalf("stores did not converge in %d rounds (%d vs %d entries)", rounds, a.Len(), b.Len())
+		}
+		pull := SyncRequest{From: "a", Digest: a.Digest()}
+		resp := handleSync(b, pull, budget)
+		if n := wire(resp); n > budget {
+			t.Fatalf("round %d: reply of %d bytes exceeds the %d cap", rounds, n, budget)
+		}
+		for _, e := range resp.Entries {
+			a.Put(e)
+		}
+		push := SyncRequest{From: "a", Entries: missingEntries(a, resp.Want, budget)}
+		if n := wire(push); n > budget {
+			t.Fatalf("round %d: push of %d bytes exceeds the %d cap", rounds, n, budget)
+		}
+		if len(resp.Entries) == 0 && len(push.Entries) == 0 {
+			t.Fatalf("round %d moved nothing before convergence", rounds)
+		}
+		handleSync(b, push, budget)
+	}
+	if rounds < 2 || a.Len() != 400 {
+		t.Fatalf("converged in %d rounds with %d entries; the stores must outgrow one message", rounds, a.Len())
 	}
 }

@@ -85,10 +85,21 @@ func DecodeSyncRequest(b []byte) (SyncRequest, error) {
 	return req, nil
 }
 
+// syncEnvelopeBytes is the share of MaxSyncBytes a message keeps for
+// its fixed fields: braces, field names, the sender name and the
+// applied count.
+const syncEnvelopeBytes = 4 << 10
+
 // HandleSync applies one gossip message against the local store and
 // computes the reply. It is the pure protocol core — transport, auth,
-// and counters live in the serving layer.
-func HandleSync(st PlanStore, req SyncRequest) SyncResponse {
+// and counters live in the serving layer. The reply stops adding
+// entries before it would outgrow MaxSyncBytes; the rest flow on later
+// rounds, because every round re-diffs full digests.
+func HandleSync(st *MemStore, req SyncRequest) SyncResponse {
+	return handleSync(st, req, MaxSyncBytes)
+}
+
+func handleSync(st *MemStore, req SyncRequest, budget int) SyncResponse {
 	var resp SyncResponse
 	for _, e := range req.Entries {
 		if st.Put(e) {
@@ -98,11 +109,6 @@ func HandleSync(st PlanStore, req SyncRequest) SyncResponse {
 	if req.Digest == nil {
 		return resp
 	}
-	for _, e := range st.Entries() { // already key-sorted
-		if _, ok := req.Digest[e.Key]; !ok {
-			resp.Entries = append(resp.Entries, e)
-		}
-	}
 	local := st.Digest()
 	for k := range req.Digest {
 		if _, ok := local[k]; !ok {
@@ -110,19 +116,59 @@ func HandleSync(st PlanStore, req SyncRequest) SyncResponse {
 		}
 	}
 	sort.Strings(resp.Want)
+	budget -= syncEnvelopeBytes + encodedLen(resp.Want)
+	for _, e := range st.Entries() { // already key-sorted
+		if _, ok := req.Digest[e.Key]; ok {
+			continue
+		}
+		if !fits(e, &budget) {
+			break
+		}
+		resp.Entries = append(resp.Entries, e)
+	}
 	return resp
 }
 
 // MissingEntries returns the store's entries for the given keys (the
-// push phase of a round), skipping keys the store no longer holds.
-func MissingEntries(st PlanStore, keys []string) []Entry {
+// push phase of a round), skipping keys the store no longer holds and
+// stopping before the push would outgrow MaxSyncBytes.
+func MissingEntries(st *MemStore, keys []string) []Entry {
+	return missingEntries(st, keys, MaxSyncBytes)
+}
+
+func missingEntries(st *MemStore, keys []string, budget int) []Entry {
+	budget -= syncEnvelopeBytes
 	out := make([]Entry, 0, len(keys))
 	for _, k := range keys {
-		if e, ok := st.Get(k); ok {
-			out = append(out, e)
+		e, ok := st.Get(k)
+		if !ok {
+			continue
 		}
+		if !fits(e, &budget) {
+			break
+		}
+		out = append(out, e)
 	}
 	return out
+}
+
+// fits charges e's encoded size, plus its list separator, against
+// *budget and reports whether it was within it.
+func fits(e Entry, budget *int) bool {
+	n := encodedLen(e) + 1
+	if n > *budget {
+		return false
+	}
+	*budget -= n
+	return true
+}
+
+// encodedLen is the length of v's JSON encoding (an Entry or a key
+// list, which always encode). json.Marshal escapes HTML characters, so
+// it bounds every encoder configuration from above.
+func encodedLen(v any) int {
+	b, _ := json.Marshal(v)
+	return len(b)
 }
 
 // Converged reports whether two digests are identical — the

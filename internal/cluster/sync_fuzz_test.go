@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzPlanStoreSync proves the cluster's two network decode surfaces —
+// FuzzStoreSync proves the cluster's two network decode surfaces —
 // warm-export snapshots and gossip sync messages — never panic on
 // arbitrary bytes, and that accepted snapshots round-trip exactly:
 // decode → restore → re-encode reproduces the canonical encoding of the
 // decoded entries.
-func FuzzPlanStoreSync(f *testing.F) {
+func FuzzStoreSync(f *testing.F) {
 	st := NewMemStore(0)
 	for i := 0; i < 4; i++ {
 		st.Put(entry(i))

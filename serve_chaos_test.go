@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,10 +30,11 @@ import (
 //
 // The storm is seed-pinned. THERMOSC_CHAOS_REQUESTS scales the request
 // count (CI runs a bigger storm than the default `go test`);
-// THERMOSC_CHAOS_STATS names a file to dump the final /v1/stats
-// snapshot into (uploaded as a CI artifact); THERMOSC_CHAOS_STORE
-// selects the plan-store backend the storm writes through (mem, or
-// file for the crash-safe append-only log — CI runs both).
+// THERMOSC_CHAOS_STATS names a file to dump each subtest's final
+// /v1/stats snapshot into (uploaded as a CI artifact). The storm runs
+// twice: against a single-process server, and against a single-node
+// cluster, so every complete plan also rides the replicated store's
+// Put path under fault injection.
 func TestServeChaos(t *testing.T) {
 	requests := 48
 	if v := os.Getenv("THERMOSC_CHAOS_REQUESTS"); v != "" {
@@ -44,10 +44,40 @@ func TestServeChaos(t *testing.T) {
 		}
 		requests = n
 	}
+	stats := make(map[string]ServerStats)
+	for _, mode := range []struct {
+		name    string
+		cluster *ClusterConfig
+	}{
+		{"single", nil},
+		{"cluster", &ClusterConfig{Self: "http://chaos-local"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			st := chaosStorm(t, requests, mode.cluster)
+			if mode.cluster != nil && st.Cluster.StoreSize == 0 {
+				t.Fatal("no complete plan reached the replicated store")
+			}
+			stats[mode.name] = st
+		})
+	}
+	if out := os.Getenv("THERMOSC_CHAOS_STATS"); out != "" {
+		blob, err := json.MarshalIndent(stats, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(out, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// chaosStorm runs one seed-pinned storm against a fresh server (joined
+// to clusterCfg when non-nil) and returns its final stats.
+func chaosStorm(t *testing.T, requests int, clusterCfg *ClusterConfig) ServerStats {
 	const clients = 8
 	const panicRate = 0.2
 
-	cfg := ServerConfig{
+	srv := NewServer(ServerConfig{
 		PlanCacheSize:    16, // small enough to churn evictions
 		DefaultTimeout:   150 * time.Millisecond,
 		MaxTimeout:       time.Second,
@@ -55,22 +85,8 @@ func TestServeChaos(t *testing.T) {
 		SolveConcurrency: 2,
 		SolveQueue:       4,
 		BreakerCooloff:   100 * time.Millisecond,
-	}
-	// THERMOSC_CHAOS_STORE=file runs the storm over a single-node cluster
-	// whose plan store is the append-only file backend, so every complete
-	// plan rides the fsync'd Put path under fault injection.
-	switch backend := os.Getenv("THERMOSC_CHAOS_STORE"); backend {
-	case "", "mem":
-	case "file":
-		cfg.Cluster = &ClusterConfig{
-			Self:         "http://chaos-local",
-			StoreBackend: "file",
-			StorePath:    filepath.Join(t.TempDir(), "chaos-planstore.log"),
-		}
-	default:
-		t.Fatalf("bad THERMOSC_CHAOS_STORE %q (want mem or file)", backend)
-	}
-	srv := NewServer(cfg)
+		Cluster:          clusterCfg,
+	})
 	var hookMu sync.Mutex
 	var faultsArmed atomic.Bool
 	faultsArmed.Store(true)
@@ -200,13 +216,5 @@ func TestServeChaos(t *testing.T) {
 	t.Logf("chaos stats: %d sheds, %d panics recovered, %d degraded served, %d stale served, breaker %s (%d trips)",
 		st.Resilience.ShedTotal, st.Resilience.PanicsRecovered, st.Resilience.DegradedServed,
 		st.Resilience.StaleServed, st.Resilience.BreakerState, st.Resilience.BreakerTrips)
-	if out := os.Getenv("THERMOSC_CHAOS_STATS"); out != "" {
-		blob, err := json.MarshalIndent(st, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return st
 }

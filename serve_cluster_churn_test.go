@@ -16,10 +16,10 @@ import (
 )
 
 // The self-healing battery: failure detection driving health-aware
-// routing, hinted handoff replaying missed writes into a restarted
-// replica, graceful drain, flapping peers, an asymmetric partition, a
-// rolling restart of every node under load, and the seed-pinned churn
-// soak the CI job runs with -race.
+// routing, gossip re-warming a restarted replica, graceful drain,
+// flapping peers, an asymmetric partition, a rolling restart of every
+// node under load, and the seed-pinned churn soak the CI job runs with
+// -race.
 
 // healthKnobsMutate pre-sets fast detector thresholds on every replica
 // (startReplica preserves them while overriding the topology).
@@ -132,159 +132,20 @@ func TestClusterDetectorReroutesAroundDeadPeer(t *testing.T) {
 	}
 }
 
-// Writes for a dead owner queue as hints and replay the moment the
-// detector re-admits it — with anti-entropy OFF, so replay alone must
-// make the restarted replica byte-identical for the missed keys, before
-// any gossip round.
-func TestClusterHintedHandoffReplay(t *testing.T) {
-	mutate := healthKnobsMutate(1, 2, 2) // probation: 2 successes to rejoin
-	tc := startTestCluster(t, 3, 0, mutate)
-	victim := 2
-	victimURL := tc.urls[victim]
-
-	tc.stopReplica(victim)
-	probeUntil(t, tc.srvs[0], victimURL, cluster.StateDead)
-
-	// Solve three victim-owned keys through replica 0. Each solved plan
-	// is stored locally and its key queued as a hint for the dead owner.
-	var bodies []string
-	refPlans := make(map[string][]byte)
-	ring := tc.srvs[0].cluster.ring
-	for dt := 0; dt < 600 && len(bodies) < 3; dt++ {
-		b := clusterBody(3, 3, 3, 61+float64(dt)*0.0625)
-		if ring.Owner(planKeyFor(t, b)) == victimURL {
-			bodies = append(bodies, b)
-		}
-	}
-	if len(bodies) < 3 {
-		t.Fatal("not enough victim-owned bodies")
-	}
-	for _, b := range bodies {
-		status, mr := postMaximize(t, tc.urls[0], b)
-		if status != http.StatusOK {
-			t.Fatalf("solve with owner down: HTTP %d", status)
-		}
-		refPlans[b] = mr.Plan
-	}
-	if got := tc.srvs[0].cluster.hints.Pending(victimURL); got != len(bodies) {
-		t.Fatalf("%d hints pending for the dead owner, want %d", got, len(bodies))
-	}
-	// Pending hints surface per peer on /v1/cluster.
-	resp, err := http.Get(tc.urls[0] + "/v1/cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cs ClusterStatus
-	err = json.NewDecoder(resp.Body).Decode(&cs)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, p := range cs.Peers {
-		if p.URL == victimURL {
-			found = true
-			if p.HintsPending != len(bodies) {
-				t.Fatalf("peer status hints_pending %d, want %d", p.HintsPending, len(bodies))
-			}
-		}
-	}
-	if !found {
-		t.Fatal("victim missing from peer status")
-	}
-
-	// Restart the victim cold. Probation: the first successful probe must
-	// NOT replay (the peer could be flapping); the second re-admits and
-	// replays synchronously.
-	cfg := ServerConfig{}
-	mutate(victim, &cfg)
-	tc.restartReplica(t, victim, cfg, 0)
-	if got := tc.srvs[victim].cluster.store.Len(); got != 0 {
-		t.Fatalf("restarted replica store has %d entries before replay", got)
-	}
-	tc.srvs[0].cluster.probeOne(context.Background(), victimURL)
-	if st := tc.srvs[0].cluster.health.Health(victimURL); !st.Recovering {
-		t.Fatalf("victim not in probation after first good probe: %+v", st)
-	}
-	if got := tc.srvs[victim].cluster.store.Len(); got != 0 {
-		t.Fatalf("replay fired during probation: %d entries", got)
-	}
-	tc.srvs[0].cluster.probeOne(context.Background(), victimURL)
-	if got := tc.srvs[0].cluster.health.State(victimURL); got != cluster.StateAlive {
-		t.Fatalf("victim state %q after probation, want alive", got)
-	}
-
-	// Replay (not anti-entropy — SyncInterval is 0 and no syncs ran)
-	// delivered every missed entry, byte-identical.
-	if got := tc.srvs[victim].cluster.store.Len(); got != len(bodies) {
-		t.Fatalf("replayed store has %d entries, want %d", got, len(bodies))
-	}
-	if got := tc.srvs[0].cluster.hints.Pending(victimURL); got != 0 {
-		t.Fatalf("%d hints still pending after replay", got)
-	}
-	hs := tc.srvs[0].cluster.hints.Stats()
-	if hs.Replayed != uint64(len(bodies)) || hs.Backlog != 0 {
-		t.Fatalf("hint stats after replay: %+v", hs)
-	}
-	for body, want := range refPlans {
-		status, mr := postMaximize(t, tc.urls[victim], body)
-		if status != http.StatusOK || !mr.Cached {
-			t.Fatalf("replayed serve: HTTP %d cached=%v, want a store hit", status, mr.Cached)
-		}
-		if !bytes.Equal(mr.Plan, want) {
-			t.Fatal("replayed plan differs from the plan served while the owner was down")
-		}
-	}
-}
-
-// The hint queue honors its cap under a down owner: overflow drops the
-// oldest keys, counted, and the store itself still holds every plan.
-func TestClusterHintOverflowBounded(t *testing.T) {
-	mutate := func(i int, cfg *ServerConfig) {
-		cfg.Cluster = &ClusterConfig{SuspectAfter: 1, DeadAfter: 1, RecoverAfter: 1, HintCap: 2}
-	}
-	tc := startTestCluster(t, 3, 0, mutate)
-	victim := 1
-	victimURL := tc.urls[victim]
-	tc.stopReplica(victim)
-	probeUntil(t, tc.srvs[0], victimURL, cluster.StateDead)
-
-	solved := 0
-	ring := tc.srvs[0].cluster.ring
-	for dt := 0; dt < 600 && solved < 4; dt++ {
-		b := clusterBody(3, 3, 3, 61+float64(dt)*0.0625)
-		if ring.Owner(planKeyFor(t, b)) != victimURL {
-			continue
-		}
-		if status, _ := postMaximize(t, tc.urls[0], b); status != http.StatusOK {
-			t.Fatalf("solve: HTTP %d", status)
-		}
-		solved++
-	}
-	if solved < 4 {
-		t.Fatal("not enough victim-owned solves")
-	}
-	hs := tc.srvs[0].cluster.hints.Stats()
-	if tc.srvs[0].cluster.hints.Pending(victimURL) != 2 || hs.Dropped != uint64(solved-2) {
-		t.Fatalf("hint bound not enforced: pending %d, stats %+v",
-			tc.srvs[0].cluster.hints.Pending(victimURL), hs)
-	}
-	st := getStats(t, tc.urls[0])
-	if st.Cluster.HintsDropped != hs.Dropped || st.Cluster.HintBacklog != 2 {
-		t.Fatalf("stats hint block: %+v", st.Cluster)
-	}
-}
-
 // POST /v1/cluster/drain: the replica reports draining on /healthz,
-// pushes its owned entries to their live-view successors, keeps
-// answering stragglers, and ?off=1 rejoins.
+// leaves its own live ring view, keeps answering stragglers, and
+// ?off=1 rejoins. Its successors take its keys over from gossip: one
+// sync round hands them the drained replica's entries.
 func TestClusterDrainAndRejoin(t *testing.T) {
 	tc := startTestCluster(t, 3, 0, nil)
 	byOwner := bodiesByOwner(t, tc)
+	seeded := make(map[string][]byte)
 	for owner, body := range byOwner {
-		if status, _ := postMaximize(t, owner, body); status != http.StatusOK {
+		status, mr := postMaximize(t, owner, body)
+		if status != http.StatusOK {
 			t.Fatalf("seed solve on %s: HTTP %d", owner, status)
 		}
+		seeded[owner] = mr.Plan
 	}
 
 	drained := tc.urls[0]
@@ -295,22 +156,15 @@ func TestClusterDrainAndRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out struct {
-		Draining     bool `json:"draining"`
-		Pushed       int  `json:"pushed"`
-		Targets      int  `json:"targets"`
-		PushFailures int  `json:"push_failures"`
+		Draining bool `json:"draining"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&out)
 	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("drain: HTTP %d, %v", resp.StatusCode, err)
-	}
-	if !out.Draining || out.Pushed < 1 || out.PushFailures != 0 {
-		t.Fatalf("drain result %+v, want a clean push of >=1 owned entries", out)
+	if err != nil || resp.StatusCode != http.StatusOK || !out.Draining {
+		t.Fatalf("drain: HTTP %d %+v, %v", resp.StatusCode, out, err)
 	}
 
-	// The owned entry landed exactly where the drained replica's live
-	// view re-routes it.
+	// The drained replica's live view re-routes its key to a successor.
 	successor := tc.srvs[0].cluster.healthyOwner(ownedKey)
 	if successor == drained {
 		t.Fatal("draining replica still owns its key in its own live view")
@@ -321,8 +175,16 @@ func TestClusterDrainAndRejoin(t *testing.T) {
 			si = i
 		}
 	}
+	// One gossip round from the successor pulls the drained replica's
+	// entries (gossip is off here, so nothing arrived before it).
+	if _, ok := tc.srvs[si].cluster.store.Get(ownedKey); ok {
+		t.Fatal("successor holds the key before any sync round")
+	}
+	if err := tc.srvs[si].SyncPeer(context.Background(), drained); err != nil {
+		t.Fatalf("successor sync with the draining replica: %v", err)
+	}
 	if _, ok := tc.srvs[si].cluster.store.Get(ownedKey); !ok {
-		t.Fatalf("successor %s lacks the pushed entry", successor)
+		t.Fatalf("successor %s lacks the drained key after one sync round", successor)
 	}
 
 	// /healthz flips to 503 "draining" — what peer probes key off — but
@@ -347,11 +209,19 @@ func TestClusterDrainAndRejoin(t *testing.T) {
 		t.Fatalf("drain not surfaced in stats: cluster=%v resilience=%v", st.Cluster.Draining, st.Resilience.Draining)
 	}
 	// A peer probing the draining replica marks it down and routes
-	// around it.
-	tc.srvs[1].cluster.probeOne(context.Background(), drained)
-	tc.srvs[1].cluster.probeOne(context.Background(), drained)
-	if !tc.srvs[1].cluster.health.Down(drained) {
+	// around it: the successor now answers the drained replica's key
+	// itself, from the entry gossip handed it, byte-identically.
+	tc.srvs[si].cluster.probeOne(context.Background(), drained)
+	tc.srvs[si].cluster.probeOne(context.Background(), drained)
+	if !tc.srvs[si].cluster.health.Down(drained) {
 		t.Fatal("peer probes did not mark the draining replica down")
+	}
+	status, mr := postMaximize(t, successor, ownedBody)
+	if status != http.StatusOK || !mr.Cached || mr.Source == serveSourceForwarded {
+		t.Fatalf("successor serve of the drained key: HTTP %d cached=%v source=%q, want a local store hit", status, mr.Cached, mr.Source)
+	}
+	if !bytes.Equal(mr.Plan, seeded[drained]) {
+		t.Fatal("successor's plan differs from the drained replica's")
 	}
 
 	// Rejoin: ?off=1 restores /healthz and the live view.
@@ -375,7 +245,8 @@ func TestClusterDrainAndRejoin(t *testing.T) {
 
 // An asymmetric partition: B rejects A's syncs while B's own contacts
 // keep working. A marks B down from the piggybacked gossip failures and
-// routes around it; healing re-admits B through probation and the fleet
+// routes around it; after the heal, the first gossip round delivers the
+// write B missed, the next re-admits B through probation, and the fleet
 // converges.
 func TestClusterAsymmetricPartition(t *testing.T) {
 	tc := startTestCluster(t, 3, 0, healthKnobsMutate(1, 2, 2))
@@ -411,29 +282,30 @@ func TestClusterAsymmetricPartition(t *testing.T) {
 	if got := tc.srvs[a].cluster.healthyOwner(planKeyFor(t, bBody)); got == bURL {
 		t.Fatal("A still routes to the partitioned peer")
 	}
-	if status, _ := postMaximize(t, aURL, bBody); status != http.StatusOK {
+	status, missed := postMaximize(t, aURL, bBody)
+	if status != http.StatusOK {
 		t.Fatalf("B-owned request during partition: HTTP %d", status)
 	}
-	if tc.srvs[a].cluster.hints.Pending(bURL) == 0 {
-		t.Fatal("no hint queued for the partitioned owner")
+	if _, ok := tc.srvs[b].cluster.store.Get(planKeyFor(t, bBody)); ok {
+		t.Fatal("the write reached B through the partition")
 	}
 
-	// Heal: successful gossip rounds walk B through probation back to
-	// alive, replaying the hints.
+	// Heal: one gossip round delivers the missed write to B; a second
+	// walks B through probation back to alive.
 	tc.srvs[b].cluster.rejectSync.Store(false)
-	for i := 0; i < 2; i++ {
-		if err := tc.srvs[a].SyncPeer(ctx, bURL); err != nil {
-			t.Fatalf("post-heal sync %d: %v", i, err)
-		}
+	if err := tc.srvs[a].SyncPeer(ctx, bURL); err != nil {
+		t.Fatalf("first post-heal sync: %v", err)
+	}
+	status, got := postMaximize(t, bURL, bBody)
+	if status != http.StatusOK || !got.Cached || !bytes.Equal(got.Plan, missed.Plan) {
+		t.Fatalf("B after one post-heal round: HTTP %d cached=%v bytes equal=%v, want the missed write",
+			status, got.Cached, bytes.Equal(got.Plan, missed.Plan))
+	}
+	if err := tc.srvs[a].SyncPeer(ctx, bURL); err != nil {
+		t.Fatalf("second post-heal sync: %v", err)
 	}
 	if got := tc.srvs[a].cluster.health.State(bURL); got != cluster.StateAlive {
 		t.Fatalf("B not re-admitted after healing: %q", got)
-	}
-	if got := tc.srvs[a].cluster.hints.Pending(bURL); got != 0 {
-		t.Fatalf("%d hints still pending after re-admission", got)
-	}
-	if _, ok := tc.srvs[b].cluster.store.Get(planKeyFor(t, bBody)); !ok {
-		t.Fatal("hint replay did not deliver the missed write to B")
 	}
 	tc.syncAll(t)
 	if !tc.converged() {
@@ -442,7 +314,8 @@ func TestClusterAsymmetricPartition(t *testing.T) {
 }
 
 // A flapping peer cycles dead→alive repeatedly; every cycle is recorded
-// on the timeline, replays cleanly, and the fleet stays consistent.
+// on the timeline, one gossip round after each recovery hands the
+// flapper the write it missed, and the fleet stays consistent.
 func TestClusterFlappingPeer(t *testing.T) {
 	mutate := healthKnobsMutate(1, 1, 1)
 	tc := startTestCluster(t, 3, 0, mutate)
@@ -479,13 +352,15 @@ func TestClusterFlappingPeer(t *testing.T) {
 		mutate(flapper, &cfg)
 		tc.restartReplica(t, flapper, cfg, 0)
 		probeUntil(t, tc.srvs[0], fURL, cluster.StateAlive)
-		if got := tc.srvs[0].cluster.hints.Pending(fURL); got != 0 {
-			t.Fatalf("cycle %d: %d hints unplayed after recovery", cycle, got)
+		if err := tc.srvs[0].SyncPeer(context.Background(), fURL); err != nil {
+			t.Fatalf("cycle %d: post-recovery sync: %v", cycle, err)
+		}
+		status, got := postMaximize(t, fURL, b)
+		if status != http.StatusOK || !got.Cached || !bytes.Equal(got.Plan, mr.Plan) {
+			t.Fatalf("cycle %d: flapper after one round: HTTP %d cached=%v bytes equal=%v, want the missed write",
+				cycle, status, got.Cached, bytes.Equal(got.Plan, mr.Plan))
 		}
 	}
-	// Every cycle's missed write reached the flapper via replay — its
-	// CURRENT store holds the latest cycle's key (earlier incarnations
-	// died with theirs; anti-entropy is their backstop, exercised next).
 	h := tc.srvs[0].cluster.health.Health(fURL)
 	if h.Transitions < 6 {
 		t.Fatalf("flapper logged %d transitions, want >=6 (3 full cycles)", h.Transitions)
@@ -642,14 +517,13 @@ func TestClusterRollingRestartUnderLoad(t *testing.T) {
 	sumInvariant(t, tc)
 }
 
-// TestClusterChurnSoak is the flagship chaos battery CI runs with -race
-// against both store backends: a seed-pinned kill/restart schedule under
-// sustained zipf load, with phase-split accounting and the per-peer
-// health timeline uploaded as artifacts.
+// TestClusterChurnSoak is the flagship chaos battery CI runs with -race:
+// a seed-pinned kill/restart schedule under sustained zipf load, with
+// phase-split accounting and the per-peer health timeline uploaded as
+// artifacts.
 //
 // THERMOSC_CHURN_REQUESTS scales the request count;
-// THERMOSC_CHURN_REPORT / THERMOSC_CHURN_TIMELINE name artifact files;
-// THERMOSC_CLUSTER_STORE selects the PlanStore backend (mem or file).
+// THERMOSC_CHURN_REPORT / THERMOSC_CHURN_TIMELINE name artifact files.
 func TestClusterChurnSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn soak is not a -short test")
@@ -670,18 +544,11 @@ func TestClusterChurnSoak(t *testing.T) {
 		rate = 3000
 	}
 
-	backendMutate := storeBackendMutate(t)
 	mutate := func(i int, cfg *ServerConfig) {
-		if backendMutate != nil {
-			backendMutate(i, cfg)
+		cfg.Cluster = &ClusterConfig{
+			ProbeInterval: 25 * time.Millisecond,
+			SuspectAfter:  1, DeadAfter: 2, RecoverAfter: 1,
 		}
-		if cfg.Cluster == nil {
-			cfg.Cluster = &ClusterConfig{}
-		}
-		cfg.Cluster.ProbeInterval = 25 * time.Millisecond
-		cfg.Cluster.SuspectAfter = 1
-		cfg.Cluster.DeadAfter = 2
-		cfg.Cluster.RecoverAfter = 1
 	}
 	tc := startTestCluster(t, 3, 100*time.Millisecond, mutate)
 
@@ -781,7 +648,7 @@ func TestClusterChurnSoak(t *testing.T) {
 	}
 
 	// 3. Replication soundness under churn: no key ever produced two
-	// different complete plans, across kills, restarts, and replays.
+	// different complete plans, across kills, restarts, and gossip.
 	if len(report.PlanMismatches) > 0 {
 		t.Fatalf("divergent plans for keys %v", report.PlanMismatches)
 	}
@@ -847,12 +714,4 @@ func TestClusterChurnSoak(t *testing.T) {
 
 	// 6. Per-node serve-source accounting (per current process).
 	sumInvariant(t, tc)
-
-	// 7. Hint accounting is self-consistent on every survivor.
-	for i := range tc.srvs {
-		hs := tc.srvs[i].cluster.hints.Stats()
-		if hs.Queued < hs.Replayed+hs.Dropped {
-			t.Fatalf("replica %d hint counters impossible: %+v", i, hs)
-		}
-	}
 }

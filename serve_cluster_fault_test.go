@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -258,65 +256,5 @@ func TestClusterGossipFailoverOnDeadPeer(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("dead peer missing from /v1/cluster peers")
-	}
-}
-
-// The file-backed store survives kill-and-restart: a restarted replica
-// recovers its replicated plans from its own log — no peer snapshot —
-// and serves them byte-identical to the pre-kill plans.
-func TestClusterFileStoreKillRestart(t *testing.T) {
-	dir := t.TempDir()
-	mutate := func(i int, cfg *ServerConfig) {
-		cfg.Cluster = &ClusterConfig{
-			StoreBackend: "file",
-			StorePath:    filepath.Join(dir, fmt.Sprintf("replica%d.log", i)),
-		}
-	}
-	tc := startTestCluster(t, 3, 0, mutate)
-	byOwner := bodiesByOwner(t, tc)
-	refPlans := make(map[string][]byte)
-	for owner, body := range byOwner {
-		status, mr := postMaximize(t, owner, body)
-		if status != http.StatusOK {
-			t.Fatalf("seeding solve on %s failed", owner)
-		}
-		refPlans[body] = mr.Plan
-	}
-	tc.syncAll(t)
-
-	victim := 2
-	wantLen := tc.srvs[victim].cluster.store.Len()
-	if wantLen < 3 {
-		t.Fatalf("victim replicated only %d entries before the kill", wantLen)
-	}
-	wantDigest := tc.srvs[victim].cluster.store.Digest()
-	tc.stopReplica(victim)
-
-	cfg := ServerConfig{}
-	mutate(victim, &cfg)
-	tc.restartReplica(t, victim, cfg, 0)
-
-	got := tc.srvs[victim].cluster.store
-	if got.Len() != wantLen {
-		t.Fatalf("restarted store has %d entries, want %d", got.Len(), wantLen)
-	}
-	if !cluster.Converged(wantDigest, got.Digest()) {
-		t.Fatal("restarted store diverges from the pre-kill state")
-	}
-	// Every seeded key serves from the recovered store — cached, and
-	// byte-identical to the pre-kill plan. (The snapshot-restore path in
-	// TestClusterSnapshotRestoreAfterRestart needed a peer for this;
-	// here the replica recovers alone.)
-	for body, want := range refPlans {
-		status, mr := postMaximize(t, tc.urls[victim], body)
-		if status != http.StatusOK {
-			t.Fatalf("post-restart serve: HTTP %d", status)
-		}
-		if !mr.Cached {
-			t.Fatal("post-restart serve was a cold solve, not a store hit")
-		}
-		if !bytes.Equal(mr.Plan, want) {
-			t.Fatal("post-restart plan differs from the pre-kill plan")
-		}
 	}
 }

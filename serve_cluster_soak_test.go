@@ -29,9 +29,7 @@ import (
 //  4. the serve-source accounting holds per node (the sum invariant).
 //
 // THERMOSC_CLUSTER_REQUESTS scales the request count (CI runs 100k);
-// THERMOSC_CLUSTER_REPORT names a file for the load report artifact;
-// THERMOSC_CLUSTER_STORE selects the PlanStore backend (mem or file —
-// CI runs the soak once per backend).
+// THERMOSC_CLUSTER_REPORT names a file for the load report artifact.
 func TestClusterSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster soak is not a -short test")
@@ -54,7 +52,7 @@ func TestClusterSoak(t *testing.T) {
 		rate = 3000
 	}
 
-	tc := startTestCluster(t, 3, 100*time.Millisecond, storeBackendMutate(t))
+	tc := startTestCluster(t, 3, 100*time.Millisecond, nil)
 
 	report, err := cluster.RunLoad(context.Background(), cluster.LoadConfig{
 		Targets:  tc.urls,

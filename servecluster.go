@@ -74,15 +74,10 @@ type ClusterConfig struct {
 	// intervals of any write).
 	SyncInterval time.Duration
 	// StoreCap bounds the replicated plan store (default
-	// cluster.DefaultStoreCap entries, FIFO eviction).
+	// cluster.DefaultStoreCap entries, FIFO eviction). A cap above
+	// cluster.MaxSyncEntries is rejected: a full store's digest would
+	// exceed what one gossip message may carry.
 	StoreCap int
-	// StoreBackend selects the replicated plan store implementation:
-	// "mem" (default) or "file" (append-only durable log; see
-	// cluster.FileStore). docs/CLUSTER.md has the trade-off matrix.
-	StoreBackend string
-	// StorePath is the log path for the "file" backend (required with
-	// it, rejected otherwise).
-	StorePath string
 	// ForwardTimeout caps one proxied request to the owner replica
 	// (default 30 s; the proxied request also inherits the client's own
 	// deadline via context).
@@ -102,9 +97,6 @@ type ClusterConfig struct {
 	SuspectAfter int
 	DeadAfter    int
 	RecoverAfter int
-	// HintCap bounds the per-peer hinted-handoff queue (default
-	// cluster.DefaultHintCap keys; overflow drops oldest).
-	HintCap int
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -123,17 +115,11 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.StoreCap <= 0 {
 		c.StoreCap = cluster.DefaultStoreCap
 	}
-	if c.StoreBackend == "" {
-		c.StoreBackend = "mem"
-	}
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 30 * time.Second
 	}
 	if c.ProbeSeed == 0 {
 		c.ProbeSeed = 1
-	}
-	if c.HintCap <= 0 {
-		c.HintCap = cluster.DefaultHintCap
 	}
 	return c
 }
@@ -142,16 +128,12 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 type serveCluster struct {
 	cfg    ClusterConfig
 	ring   *cluster.Ring
-	store  cluster.PlanStore
+	store  *cluster.MemStore
 	client *http.Client
 	// health is the failure detector (health.go): every peer contact —
 	// dedicated probe, gossip round, forward transport failure — feeds
 	// it, and healthyOwner consults it to route around down peers.
 	health *cluster.Detector
-	// hints is the hinted-handoff queue: keys of complete plans whose
-	// ring owner was down at write time, replayed when the detector
-	// re-admits the owner.
-	hints *cluster.HintQueue
 
 	// Serve-source counters. The per-node invariant, pinned by tests:
 	// servedLocal + servedPeer + servedForwarded == successful (200)
@@ -172,8 +154,7 @@ type serveCluster struct {
 
 	// draining, when set, takes this replica out of the healthy ring
 	// view (its own keys route to successors), reports "draining" on
-	// /healthz so balancers and peer probes stop sending traffic, and
-	// was preceded by a push of owned entries to their new owners. See
+	// /healthz so balancers and peer probes stop sending traffic. See
 	// handleClusterDrain.
 	draining atomic.Bool
 
@@ -199,24 +180,6 @@ type peerSyncState struct {
 	fails uint64
 }
 
-// newClusterStore builds the configured PlanStore backend.
-func newClusterStore(cfg ClusterConfig) (cluster.PlanStore, error) {
-	switch cfg.StoreBackend {
-	case "mem":
-		if cfg.StorePath != "" {
-			return nil, fmt.Errorf("cluster: store path %q given but backend is %q", cfg.StorePath, cfg.StoreBackend)
-		}
-		return cluster.NewMemStore(cfg.StoreCap), nil
-	case "file":
-		if cfg.StorePath == "" {
-			return nil, fmt.Errorf("cluster: the file store backend requires a store path")
-		}
-		return cluster.NewFileStore(cfg.StorePath, cfg.StoreCap)
-	default:
-		return nil, fmt.Errorf("cluster: unknown store backend %q (want mem or file)", cfg.StoreBackend)
-	}
-}
-
 // newServeCluster validates and builds the fleet state; a nil return
 // (with error) leaves the server single-process.
 func newServeCluster(cfg ClusterConfig) (*serveCluster, error) {
@@ -224,14 +187,13 @@ func newServeCluster(cfg ClusterConfig) (*serveCluster, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: Self is required")
 	}
-	store, err := newClusterStore(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.StoreCap > cluster.MaxSyncEntries {
+		return nil, fmt.Errorf("cluster: store capacity %d exceeds the %d entries one gossip message carries", cfg.StoreCap, cluster.MaxSyncEntries)
 	}
 	c := &serveCluster{
 		cfg:   cfg,
 		ring:  cluster.NewRing(append([]string{cfg.Self}, cfg.Peers...), cfg.VirtualNodes),
-		store: store,
+		store: cluster.NewMemStore(cfg.StoreCap),
 		client: &http.Client{
 			// Forwarding and gossip reuse connections to a handful of
 			// peers; the transport's per-host idle pool must not throttle a
@@ -255,7 +217,6 @@ func newServeCluster(cfg ClusterConfig) (*serveCluster, error) {
 			DeadAfter:    cfg.DeadAfter,
 			RecoverAfter: cfg.RecoverAfter,
 		}),
-		hints:    cluster.NewHintQueue(cfg.HintCap),
 		peerSeen: make(map[string]peerSyncState, len(cfg.Peers)),
 		stop:     make(chan struct{}),
 	}
@@ -289,43 +250,6 @@ func (c *serveCluster) healthyOwner(planKey string) string {
 		return c.cfg.Self
 	}
 	return o
-}
-
-// observeHealth feeds one peer contact outcome into the failure
-// detector; a transition back to alive triggers the hinted-handoff
-// replay for that peer. Only probe/gossip paths report successes, so
-// the (potentially slow) replay never runs inside a request handler.
-func (c *serveCluster) observeHealth(peer string, ok bool, latency time.Duration) {
-	state, transitioned := c.health.Observe(peer, ok, latency)
-	if transitioned && state == cluster.StateAlive {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ForwardTimeout)
-		defer cancel()
-		c.replayHints(ctx, peer)
-	}
-}
-
-// replayHints pushes the queued missed writes to a re-admitted peer as
-// push-only sync rounds. Keys whose entries were evicted are skipped
-// (anti-entropy is the backstop); on a failed push the batch is
-// requeued for the next recovery.
-func (c *serveCluster) replayHints(ctx context.Context, peer string) {
-	keys := c.hints.Take(peer)
-	if len(keys) == 0 {
-		return
-	}
-	entries := cluster.MissingEntries(c.store, keys)
-	for len(entries) > 0 {
-		batch := entries
-		if len(batch) > cluster.MaxSyncEntries {
-			batch = batch[:cluster.MaxSyncEntries]
-		}
-		if _, err := c.postSync(ctx, peer, cluster.SyncRequest{From: c.cfg.Self, Entries: batch}); err != nil {
-			c.hints.Requeue(peer, keys)
-			return
-		}
-		c.entriesSent.Add(uint64(len(batch)))
-		entries = entries[len(batch):]
-	}
 }
 
 // startLoops launches the background anti-entropy and health-probe
@@ -424,22 +348,12 @@ func (c *serveCluster) probeOne(ctx context.Context, peer string) {
 	if !ok {
 		c.probeFails.Add(1)
 	}
-	c.observeHealth(peer, ok, time.Since(start))
+	c.health.Observe(peer, ok, time.Since(start))
 }
 
 func (c *serveCluster) stopLoops() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.loops.Wait()
-}
-
-// closeStore releases the plan store's resources (the file backend's
-// log handle). Call after the gossip loop has stopped and in-flight
-// requests have drained; reads keep working afterwards.
-func (c *serveCluster) closeStore() error {
-	if fs, ok := c.store.(*cluster.FileStore); ok {
-		return fs.Close()
-	}
-	return nil
 }
 
 func (c *serveCluster) nextPeer() string {
@@ -452,13 +366,15 @@ func (c *serveCluster) nextPeer() string {
 
 // syncNow runs one pull-push anti-entropy round against peer: send our
 // digest, store what the peer has that we lack, push what it asked for.
+// Both the reply and the push stop at cluster.MaxSyncBytes; what did
+// not fit flows on a later round.
 // The round's outcome doubles as a failure-detector observation — every
 // gossip tick is a free health probe.
 func (c *serveCluster) syncNow(ctx context.Context, peer string) error {
 	c.syncRounds.Add(1)
 	roundStart := time.Now()
 	err := c.syncRound(ctx, peer)
-	c.observeHealth(peer, err == nil, time.Since(roundStart))
+	c.health.Observe(peer, err == nil, time.Since(roundStart))
 	c.mu.Lock()
 	st := peerSyncState{at: time.Now(), fails: c.peerSeen[peer].fails}
 	if err != nil {
@@ -497,11 +413,6 @@ func (c *serveCluster) syncRound(ctx context.Context, peer string) error {
 	return nil
 }
 
-// maxSyncBodyBytes bounds one gossip message on the wire: the entry
-// payloads dominate, so the cap mirrors the store's worst case rather
-// than the 1 MiB request-body cap.
-const maxSyncBodyBytes = 64 << 20
-
 func (c *serveCluster) postSync(ctx context.Context, peer string, req cluster.SyncRequest) (cluster.SyncResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -517,7 +428,7 @@ func (c *serveCluster) postSync(ctx context.Context, peer string, req cluster.Sy
 		return cluster.SyncResponse{}, err
 	}
 	defer hresp.Body.Close()
-	rb, err := io.ReadAll(io.LimitReader(hresp.Body, maxSyncBodyBytes))
+	rb, err := io.ReadAll(io.LimitReader(hresp.Body, cluster.MaxSyncBytes))
 	if err != nil {
 		return cluster.SyncResponse{}, err
 	}
@@ -546,7 +457,6 @@ func (c *serveCluster) served(source string) {
 // statsSnapshot renders the cluster block of /v1/stats.
 func (c *serveCluster) statsSnapshot() *ClusterStats {
 	alive, suspect, dead := c.health.Counts()
-	hs := c.hints.Stats()
 	return &ClusterStats{
 		Self:            c.cfg.Self,
 		Nodes:           c.ring.Nodes(),
@@ -565,10 +475,6 @@ func (c *serveCluster) statsSnapshot() *ClusterStats {
 		PeersDead:       dead,
 		ProbesSent:      c.probesSent.Load(),
 		ProbeFailures:   c.probeFails.Load(),
-		HintsQueued:     hs.Queued,
-		HintsDropped:    hs.Dropped,
-		HintsReplayed:   hs.Replayed,
-		HintBacklog:     hs.Backlog,
 		Draining:        c.draining.Load(),
 	}
 }
@@ -615,19 +521,14 @@ func (s *Server) clusterStoreGet(planKey string) (cachedPlan, string, bool) {
 }
 
 // clusterStorePut replicates a freshly solved COMPLETE plan (no-op
-// single-process or for degraded plans; see the file comment). If the
-// key's ring owner is currently down, the write would otherwise reach
-// it only via eventual anti-entropy — so the key is queued as a hint
-// and replayed the moment the detector re-admits the owner.
+// single-process or for degraded plans; see the file comment). Gossip
+// carries it to the other replicas, including an owner that is down
+// now, on its first round after it comes back.
 func (s *Server) clusterStorePut(planKey string, ent cachedPlan) {
 	if s.cluster == nil || ent.degraded {
 		return
 	}
-	c := s.cluster
-	c.store.Put(cluster.Entry{Key: planKey, Plan: ent.bytes, BornUnixNano: ent.born.UnixNano()})
-	if owner := c.owner(planKey); owner != c.cfg.Self && c.health.Down(owner) {
-		c.hints.Add(owner, planKey)
-	}
+	s.cluster.store.Put(cluster.Entry{Key: planKey, Plan: ent.bytes, BornUnixNano: ent.born.UnixNano()})
 }
 
 // forwardMaximize proxies a request whose key another replica owns.
@@ -655,14 +556,14 @@ func (s *Server) forwardMaximize(w http.ResponseWriter, r *http.Request, body []
 		// rediscovering the dead peer on every forward. HTTP errors below
 		// are NOT observations — they are real answers from a live peer.
 		s.cluster.forwardFails.Add(1)
-		s.cluster.observeHealth(owner, false, 0)
+		s.cluster.health.Observe(owner, false, 0)
 		return false
 	}
 	defer hresp.Body.Close()
-	rb, err := io.ReadAll(io.LimitReader(hresp.Body, maxSyncBodyBytes))
+	rb, err := io.ReadAll(io.LimitReader(hresp.Body, cluster.MaxSyncBytes))
 	if err != nil {
 		s.cluster.forwardFails.Add(1)
-		s.cluster.observeHealth(owner, false, 0)
+		s.cluster.health.Observe(owner, false, 0)
 		return false
 	}
 	if hresp.StatusCode != http.StatusOK {
@@ -746,9 +647,6 @@ type PeerStatus struct {
 	// health observation of any kind (probe, gossip, forward failure).
 	LastProbeUnixS    float64 `json:"last_probe_unix_s,omitempty"`
 	LastProbeLatencyS float64 `json:"last_probe_latency_s,omitempty"`
-	// HintsPending counts queued hinted-handoff keys awaiting this
-	// peer's recovery.
-	HintsPending int `json:"hints_pending,omitempty"`
 }
 
 // FleetStats is the cluster-aggregated view: per-node serve-source
@@ -801,7 +699,6 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		st.Peers[i].HealthTransitions = ph.Transitions
 		st.Peers[i].LastProbeUnixS = ph.LastProbeUnixS
 		st.Peers[i].LastProbeLatencyS = ph.LastProbeLatencyS
-		st.Peers[i].HintsPending = c.hints.Pending(st.Peers[i].URL)
 	}
 	if r.URL.Query().Get("fleet") != "" {
 		st.Fleet = s.gatherFleet(r.Context())
@@ -894,7 +791,7 @@ func (s *Server) handleClusterSync(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "sync rejected: replica is partitioned", Code: "partitioned"})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSyncBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cluster.MaxSyncBytes))
 	if err != nil {
 		writeError(w, badRequestf("reading sync body: %v", err))
 		return
@@ -913,67 +810,21 @@ func (s *Server) handleClusterSync(w http.ResponseWriter, r *http.Request) {
 // handleClusterDrain is POST /v1/cluster/drain: flip this replica into
 // the draining state (?off=1 rejoins). Draining (1) reports 503 on
 // /healthz so balancers and peer probes take the replica out of
-// rotation, (2) removes it from its own healthy ring view so its owned
-// keys route to their successors, and (3) pushes its owned store
-// entries to those successors so a rolling restart loses nothing.
-// In-flight and straggler requests are still answered — refusing them
-// would turn a graceful drain into client-visible errors.
+// rotation, and (2) removes it from its own healthy ring view so its
+// owned keys route to their successors. The successors already hold
+// its entries from gossip; a restarted replica re-warms from
+// -warm-restore or its first gossip round. In-flight and straggler
+// requests are still answered — refusing them would turn a graceful
+// drain into client-visible errors.
 func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	c := s.cluster
 	if c == nil {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "clustering is not enabled", Code: "bad_request"})
 		return
 	}
-	if r.URL.Query().Get("off") != "" {
-		c.draining.Store(false)
-		writeJSON(w, http.StatusOK, map[string]any{"draining": false})
-		return
-	}
-	c.draining.Store(true)
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.ForwardTimeout)
-	defer cancel()
-	pushed, targets, failures := c.drainPush(ctx)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"draining":      true,
-		"pushed":        pushed,
-		"targets":       targets,
-		"push_failures": failures,
-	})
-}
-
-// drainPush hands this replica's owned entries to their live-view
-// successors (draining already removed self from the view) as push-only
-// sync rounds, one batch per target. Targets that fail stay covered by
-// hinted handoff and anti-entropy.
-func (c *serveCluster) drainPush(ctx context.Context) (pushed, targets, failures int) {
-	byTarget := make(map[string][]cluster.Entry)
-	for _, e := range c.store.Entries() {
-		if c.owner(e.Key) != c.cfg.Self {
-			continue
-		}
-		t := c.healthyOwner(e.Key)
-		if t == c.cfg.Self {
-			continue // no healthy successor; the entry stays local
-		}
-		byTarget[t] = append(byTarget[t], e)
-	}
-	for t, entries := range byTarget {
-		targets++
-		for len(entries) > 0 {
-			batch := entries
-			if len(batch) > cluster.MaxSyncEntries {
-				batch = batch[:cluster.MaxSyncEntries]
-			}
-			if _, err := c.postSync(ctx, t, cluster.SyncRequest{From: c.cfg.Self, Entries: batch}); err != nil {
-				failures++
-				break
-			}
-			c.entriesSent.Add(uint64(len(batch)))
-			pushed += len(batch)
-			entries = entries[len(batch):]
-		}
-	}
-	return pushed, targets, failures
+	draining := r.URL.Query().Get("off") == ""
+	c.draining.Store(draining)
+	writeJSON(w, http.StatusOK, map[string]any{"draining": draining})
 }
 
 func (s *Server) handleClusterSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -992,7 +843,7 @@ func (s *Server) handleClusterRestore(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "clustering is not enabled", Code: "bad_request"})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSyncBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cluster.MaxSyncBytes))
 	if err != nil {
 		writeError(w, badRequestf("reading snapshot body: %v", err))
 		return

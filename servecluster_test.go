@@ -8,10 +8,10 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
+
+	"thermosc/internal/cluster"
 )
 
 // testCluster is an in-process replica fleet: n Servers, each with its
@@ -64,8 +64,8 @@ func (tc *testCluster) startReplica(t *testing.T, i int, ln net.Listener, cfg Se
 	}
 	cc := &ClusterConfig{}
 	if cfg.Cluster != nil {
-		// mutate may pre-set store-backend and health knobs; topology
-		// stays ours.
+		// mutate may pre-set store and health knobs; topology stays
+		// ours.
 		*cc = *cfg.Cluster
 	}
 	cc.Self, cc.Peers, cc.SyncInterval = tc.urls[i], peers, syncInterval
@@ -74,29 +74,6 @@ func (tc *testCluster) startReplica(t *testing.T, i int, ln net.Listener, cfg Se
 	hs := &http.Server{Handler: srv}
 	tc.srvs[i], tc.https[i] = srv, hs
 	go func() { _ = hs.Serve(ln) }()
-}
-
-// storeBackendMutate honors THERMOSC_CLUSTER_STORE so the soak suite
-// runs once per PlanStore backend: "file" points every replica's store
-// at an append-only log under a per-test temp dir; empty or "mem"
-// keeps the in-memory default.
-func storeBackendMutate(t *testing.T) func(i int, cfg *ServerConfig) {
-	t.Helper()
-	switch backend := os.Getenv("THERMOSC_CLUSTER_STORE"); backend {
-	case "", "mem":
-		return nil
-	case "file":
-		dir := t.TempDir()
-		return func(i int, cfg *ServerConfig) {
-			cfg.Cluster = &ClusterConfig{
-				StoreBackend: "file",
-				StorePath:    filepath.Join(dir, fmt.Sprintf("replica%d.log", i)),
-			}
-		}
-	default:
-		t.Fatalf("bad THERMOSC_CLUSTER_STORE %q (want mem or file)", backend)
-		return nil
-	}
 }
 
 // stopReplica kills replica i: the listener closes and its gossip loop
@@ -508,12 +485,28 @@ func TestClusterDisabledIsByteStable(t *testing.T) {
 	}
 }
 
-// A cluster config without Self is a topology bug: fail fast.
+// A cluster config NewServer cannot honour fails fast: no Self is a
+// topology bug, and a store bigger than one gossip message carries
+// would make every peer reject this replica's digest (and -warm-restore
+// refuse its snapshot).
 func TestClusterConfigRequiresSelf(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewServer accepted a cluster config without Self")
-		}
-	}()
-	NewServer(ServerConfig{Cluster: &ClusterConfig{Peers: []string{"http://a"}}})
+	for name, cfg := range map[string]ClusterConfig{
+		"no self":            {Peers: []string{"http://a"}},
+		"store over the cap": {Self: "http://s", Peers: []string{"http://a"}, StoreCap: cluster.MaxSyncEntries + 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewServer accepted %+v", cfg)
+				}
+			}()
+			NewServer(ServerConfig{Cluster: &cfg})
+		})
+	}
+	// The largest store gossip carries is accepted.
+	srv := NewServer(ServerConfig{Cluster: &ClusterConfig{Self: "http://s", StoreCap: cluster.MaxSyncEntries}})
+	defer srv.Shutdown(context.Background())
+	if got := srv.Stats().Cluster.StoreCapacity; got != cluster.MaxSyncEntries {
+		t.Fatalf("store capacity %d, want %d", got, cluster.MaxSyncEntries)
+	}
 }

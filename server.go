@@ -268,9 +268,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		if s.cluster != nil {
-			return s.cluster.closeStore() // drained: safe to release the store's log
-		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
